@@ -5,8 +5,8 @@ import json
 
 from _common import bench_batch_size, bench_workers, emit, run_once
 
-from repro import CarbonExplorer, Strategy, optimize_fleet
-from repro.core import frontier_tail_ratio, knee_point, pareto_frontier
+from repro import CarbonExplorer, Strategy
+from repro.core import frontier_tail_ratio, knee_point, pareto_frontier, sweep_fleet
 from repro.reporting import format_table, percent
 
 REGIONS = (
@@ -36,21 +36,17 @@ def frontier_for(explorer, strategy):
 
 
 def sweep_regions(explorers, strategy):
-    """One sweep per region; fleet-merged into one kernel block when serial."""
-    workers = bench_workers()
-    batch_size = bench_batch_size()
-    if workers == 1 and batch_size is not None:
-        sites = [(explorer.context, fig14_space(explorer)) for explorer in explorers]
-        return optimize_fleet(sites, strategy)
-    return [
-        explorer.optimize(
-            strategy,
-            fig14_space(explorer),
-            workers=workers,
-            batch_size=batch_size,
-        )
-        for explorer in explorers
-    ]
+    """One fleet sweep over every region, in region order."""
+    fleet = sweep_fleet(
+        [
+            (explorer.context.site_state, explorer.context, fig14_space(explorer))
+            for explorer in explorers
+        ],
+        strategy,
+        workers=bench_workers(),
+        batch_size=bench_batch_size(),
+    )
+    return [sweep.result for sweep in fleet.sites]
 
 
 def build_fig14() -> str:
@@ -123,9 +119,9 @@ def test_fig14(benchmark):
     out = emit("fig14", text)
     payload = json.loads(out.with_suffix(".json").read_text())
     if bench_workers() > 1:
-        # Parallel sweeps ship a tiny shm handle per worker, not the
+        # Parallel sweeps ship a tiny shm handle per site, not the
         # megabyte-scale pickled context.
-        assert 0 < payload["trace_plane"]["context_pickle_bytes"] < 1024
+        assert 0 < payload["trace_plane"]["context_pickle_bytes"] < 1024 * len(REGIONS)
         assert payload["trace_plane"]["shm_bytes_shared"] > 0
     # Zero-operational solutions must involve batteries (paper's frontier
     # observation) — verified here for Utah.

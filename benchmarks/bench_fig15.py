@@ -6,7 +6,8 @@ import json
 
 from _common import bench_batch_size, bench_workers, emit, run_once
 
-from repro import CarbonExplorer, SITE_ORDER, Strategy, optimize_fleet
+from repro import CarbonExplorer, SITE_ORDER, Strategy
+from repro.core import sweep_fleet
 from repro.reporting import format_table, percent
 
 _STRATEGY_LABELS = {
@@ -26,29 +27,21 @@ def fig15_space(explorer):
 
 
 def build_fig15() -> str:
-    workers = bench_workers()
-    batch_size = bench_batch_size()
     explorers = [CarbonExplorer(state) for state in SITE_ORDER]
-    spaces = [fig15_space(explorer) for explorer in explorers]
-    if workers == 1 and batch_size is not None:
-        # Serial batched runs fold all thirteen regions into one merged
-        # (design × hour) block per strategy (bitwise-identical to the
-        # per-region sweeps below — see repro.core.optimize_fleet).
-        sites = [
-            (explorer.context, space)
-            for explorer, space in zip(explorers, spaces)
-        ]
-        per_site = [{} for _ in explorers]
-        for strategy in Strategy:
-            for site_results, result in zip(
-                per_site, optimize_fleet(sites, strategy)
-            ):
-                site_results[strategy] = result
-    else:
-        per_site = [
-            explorer.optimize_all(space, workers=workers, batch_size=batch_size)
-            for explorer, space in zip(explorers, spaces)
-        ]
+    sites = [
+        (explorer.context.site_state, explorer.context, fig15_space(explorer))
+        for explorer in explorers
+    ]
+    per_site = [{} for _ in explorers]
+    for strategy in Strategy:
+        fleet = sweep_fleet(
+            sites,
+            strategy,
+            workers=bench_workers(),
+            batch_size=bench_batch_size(),
+        )
+        for site_results, sweep in zip(per_site, fleet.sites):
+            site_results[strategy] = sweep.result
 
     rows = []
     for explorer, results in zip(explorers, per_site):
@@ -83,7 +76,8 @@ def test_fig15(benchmark):
     out = emit("fig15", text)
     payload = json.loads(out.with_suffix(".json").read_text())
     if bench_workers() > 1:
-        assert 0 < payload["trace_plane"]["context_pickle_bytes"] < 1024
+        pickle_bytes = payload["trace_plane"]["context_pickle_bytes"]
+        assert 0 < pickle_bytes < 1024 * len(SITE_ORDER)
         assert payload["trace_plane"]["shm_bytes_shared"] > 0
     lines = [l for l in text.splitlines() if l and l[:2] in SITE_ORDER]
     assert len(lines) == 13

@@ -33,7 +33,6 @@ from .core import (
     knee_point,
     optimize,
     optimize_all_strategies,
-    optimize_fleet,
     pareto_frontier,
     renewable_coverage,
 )
@@ -61,7 +60,6 @@ from .resilience import (
     CheckpointError,
     CheckpointMismatchError,
     FaultPlan,
-    RetryPolicy,
     SweepInterrupted,
 )
 from .obs import (
@@ -113,7 +111,6 @@ __all__ = [
     "knee_point",
     "optimize",
     "optimize_all_strategies",
-    "optimize_fleet",
     "pareto_frontier",
     "renewable_coverage",
     "DATACENTER_SITES",
@@ -140,7 +137,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "FaultPlan",
-    "RetryPolicy",
     "SweepInterrupted",
     "ProgressTicker",
     "configure_logging",

@@ -30,19 +30,14 @@ from .fleet import (
     FleetInterrupted,
     FleetResult,
     FleetSweep,
+    OptimizationResult,
     SiteStatus,
     SiteSweep,
     fleet_checkpoint_path,
     prepare_fleet,
     sweep_fleet,
 )
-from .optimizer import (
-    OptimizationResult,
-    optimize,
-    optimize_all_strategies,
-    optimize_fleet,
-    strategy_checkpoint_path,
-)
+from .optimizer import optimize, optimize_all_strategies, strategy_checkpoint_path
 from .shm import (
     SharedContextError,
     SharedSiteContext,
@@ -103,7 +98,6 @@ __all__ = [
     "OptimizationResult",
     "optimize",
     "optimize_all_strategies",
-    "optimize_fleet",
     "strategy_checkpoint_path",
     "SharedContextError",
     "SharedSiteContext",

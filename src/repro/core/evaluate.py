@@ -571,8 +571,6 @@ def evaluate_block(
     context: SiteContext,
     designs: Sequence[DesignPoint],
     strategy: Strategy,
-    *,
-    min_rows: Optional[int] = None,
 ) -> List[DesignEvaluation]:
     """Evaluate a block of designs, batching the design axis when it pays.
 
@@ -580,15 +578,15 @@ def evaluate_block(
     for d in designs]`` — every returned float is bitwise-equal to the
     per-design result — but the year-long simulation loop runs *once*
     over a ``(D, H)`` block (:mod:`repro.kernels.batch`) instead of once
-    per design.  The per-design path remains both the fallback and the
-    bitwise oracle:
+    per design.  This is the sweep engine's one evaluation call: the
+    block's own strategy and size decide its route, and the per-design
+    path remains both the fallback and the bitwise oracle:
 
     * ``RENEWABLES_ONLY`` blocks always take it (the strategy is already
       a couple of vectorized array ops — there is no loop to batch);
     * blocks smaller than the per-strategy :data:`_BATCH_MIN_ROWS` floor
-      (``min_rows`` or ``REPRO_BATCH_MIN_ROWS`` override it) take it,
-      because the batched hour loop costs roughly the same for 1 row as
-      for 100;
+      (``REPRO_BATCH_MIN_ROWS`` overrides it) take it, because the
+      batched hour loop costs roughly the same for 1 row as for 100;
     * blocks violating a serial wrapper's preconditions take it so the
       wrapper's validation error surfaces exactly as before.
 
@@ -606,16 +604,12 @@ def evaluate_block(
     ``battery_sims``, ``schedules_run``, ``combined_sims``, MWh/hour
     totals, …) match the per-design path exactly.
     """
-    designs = list(designs)
-    if not designs:
-        return []
-    floor_rows = _batch_min_rows(strategy) if min_rows is None else max(1, min_rows)
-    constrained = [design.constrained_to(strategy) for design in designs]
-    if (
-        strategy is Strategy.RENEWABLES_ONLY
-        or len(designs) < floor_rows
-        or not _batch_preconditions_hold(context, constrained)
+    if strategy is Strategy.RENEWABLES_ONLY or len(designs) < _batch_min_rows(
+        strategy
     ):
+        return [evaluate_design(context, design, strategy) for design in designs]
+    constrained = [design.constrained_to(strategy) for design in designs]
+    if not _batch_preconditions_hold(context, constrained):
         return [evaluate_design(context, design, strategy) for design in designs]
     demand_power = context.demand.power
     calendar = demand_power.calendar
@@ -652,9 +646,7 @@ def evaluate_block(
                 charge_plane=False,
                 seeds=_battery_seed_rows(context, constrained, projections),
             )
-            evaluations = _finish_battery_rows(
-                context, constrained, projections, run, 0
-            )
+            evaluations = _finish_battery_rows(context, constrained, projections, run)
 
         elif strategy is Strategy.RENEWABLES_CAS:
             # schedule_run_batch shares one 24-hour FWR profile across the
@@ -702,16 +694,12 @@ def evaluate_block(
                 deadline_hours=COMBINED_DEADLINE_HOURS,
                 charge_plane=False,
             )
-            evaluations = _finish_combined_rows(
-                context, constrained, projections, run, 0
-            )
+            evaluations = _finish_combined_rows(context, constrained, projections, run)
 
     return [evaluation for evaluation in evaluations if evaluation is not None]
 
 
-def _battery_seed_rows(
-    context: SiteContext, constrained, projections, offset: int = 0
-):
+def _battery_seed_rows(context: SiteContext, constrained, projections):
     """Seeded ``(row_start, row_stop, BatterySeed)`` groups for a block.
 
     Consecutive rows sharing one projected supply object (every capacity
@@ -721,8 +709,7 @@ def _battery_seed_rows(
     structure; the batched battery kernel fast-forwards each group
     through its rail stretches.  Single-row groups are skipped: there is
     no capacity axis to share the pre-pass across, and the lockstep loop
-    is already optimal for them.  Row indices are shifted by ``offset``
-    so merged multi-site blocks can seed each site's segment in place.
+    is already optimal for them.
     """
     seeds = []
     start = 0
@@ -738,7 +725,7 @@ def _battery_seed_rows(
                 (design.investment.solar_mw, design.investment.wind_mw),
                 supply.values,
             )
-            seeds.append((offset + start, offset + stop, seed))
+            seeds.append((start, stop, seed))
             inc("battery_rows_seeded", stop - start)
         start = stop
     return seeds
@@ -773,18 +760,12 @@ def _finish_battery_rows(
     designs: Sequence[DesignPoint],
     projections,
     run,
-    offset: int,
 ) -> List[DesignEvaluation]:
-    """Carbon-account one site's rows of a batched battery run.
-
-    ``run`` may hold rows for several sites (the fleet path); ``offset``
-    is where this site's rows start.
-    """
+    """Carbon-account the rows of a batched battery run."""
     calendar = context.demand.power.calendar
     n_hours = calendar.n_hours
     out: List[DesignEvaluation] = []
-    for j, design in enumerate(designs):
-        i = offset + j
+    for i, design in enumerate(designs):
         inc("battery_sims")
         inc("battery_sim_hours", n_hours)
         out.append(
@@ -792,8 +773,8 @@ def _finish_battery_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY,
-                projections[j][0],
-                projections[j][1],
+                projections[i][0],
+                projections[i][1],
                 HourlySeries(run.grid_import[i], calendar, name="grid import"),
                 HourlySeries(run.surplus[i], calendar, name="surplus"),
                 0.0,
@@ -808,14 +789,12 @@ def _finish_combined_rows(
     designs: Sequence[DesignPoint],
     projections,
     run,
-    offset: int,
 ) -> List[DesignEvaluation]:
-    """Carbon-account one site's rows of a batched combined run."""
+    """Carbon-account the rows of a batched combined run."""
     calendar = context.demand.power.calendar
     n_hours = calendar.n_hours
     out: List[DesignEvaluation] = []
-    for j, design in enumerate(designs):
-        i = offset + j
+    for i, design in enumerate(designs):
         inc("combined_sims")
         inc("combined_sim_hours", n_hours)
         inc("schedule_deferrals", int(run.deferral_events[i]))
@@ -825,8 +804,8 @@ def _finish_combined_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY_CAS,
-                projections[j][0],
-                projections[j][1],
+                projections[i][0],
+                projections[i][1],
                 HourlySeries(run.grid_import[i], calendar, name="grid import"),
                 HourlySeries(run.surplus[i], calendar, name="surplus"),
                 float(run.deferred_mwh[i]),
@@ -835,132 +814,3 @@ def _finish_combined_rows(
         )
     return out
 
-
-def evaluate_block_sites(
-    blocks: Sequence[Tuple[SiteContext, Sequence[DesignPoint]]],
-    strategy: Strategy,
-    *,
-    min_rows: Optional[int] = None,
-) -> List[List[DesignEvaluation]]:
-    """Evaluate several sites' design blocks through one merged kernel call.
-
-    The batched kernels' per-hour cost is numpy dispatch overhead, nearly
-    independent of the number of rows — so a sweep over many sites pays
-    that cost once per *site* even though the rows would happily share a
-    block.  This merges the site axis into the design axis: ``demand``
-    becomes a ``(D, H)`` block with each row carrying its own site's
-    trace, and one kernel call covers every site.  Bitwise identical to
-    calling :func:`evaluate_block` per site (property: the kernels are
-    pure row-wise lockstep; a row never observes its neighbours).
-
-    Only the hour-loop strategies gain (``RENEWABLES_BATTERY`` and
-    ``RENEWABLES_BATTERY_CAS``); other strategies — and any site block
-    that fails the batch preconditions — fall back to per-site
-    :func:`evaluate_block`, which preserves its own routing rules.
-    """
-    blocks = [(context, list(designs)) for context, designs in blocks]
-    mergeable = strategy in (
-        Strategy.RENEWABLES_BATTERY,
-        Strategy.RENEWABLES_BATTERY_CAS,
-    )
-    total_rows = sum(len(designs) for _, designs in blocks)
-    floor_rows = _batch_min_rows(strategy) if min_rows is None else max(1, min_rows)
-    if not mergeable or len(blocks) < 2 or total_rows < floor_rows:
-        return [
-            evaluate_block(context, designs, strategy, min_rows=min_rows)
-            for context, designs in blocks
-        ]
-
-    segments = []  # (context, constrained, projections, specs, capacities)
-    for context, designs in blocks:
-        if not designs:
-            segments.append((context, [], [], [], []))
-            continue
-        constrained = [design.constrained_to(strategy) for design in designs]
-        if not _batch_preconditions_hold(context, constrained):
-            return [
-                evaluate_block(context, designs, strategy, min_rows=min_rows)
-                for context, designs in blocks
-            ]
-        projections = [
-            context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
-            for d in constrained
-        ]
-        peak = context.demand.power.max()
-        segments.append(
-            (
-                context,
-                constrained,
-                projections,
-                [d.battery_spec() for d in constrained],
-                [peak * (1.0 + d.extra_capacity_fraction) for d in constrained],
-            )
-        )
-
-    n_hours = blocks[0][0].demand.power.calendar.n_hours
-    supply_block = np.empty((total_rows, n_hours))
-    demand_block = np.empty((total_rows, n_hours))
-    offsets = []
-    row = 0
-    for context, constrained, projections, _, _ in segments:
-        offsets.append(row)
-        demand_values = context.demand.power.values
-        for _, _, supply in projections:
-            supply_block[row] = supply.values
-            demand_block[row] = demand_values
-            row += 1
-    if float(supply_block.min()) < 0.0:
-        return [
-            evaluate_block(context, designs, strategy, min_rows=min_rows)
-            for context, designs in blocks
-        ]
-
-    all_specs = [spec for seg in segments for spec in seg[3]]
-    with span(
-        "evaluate_block_sites",
-        strategy=strategy.value,
-        n_sites=len(blocks),
-        n_designs=total_rows,
-    ):
-        inc("designs_batched", total_rows)
-        set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), total_rows))
-        if strategy is Strategy.RENEWABLES_BATTERY:
-            seeds = [
-                group
-                for (context, constrained, projections, _, _), offset in zip(
-                    segments, offsets
-                )
-                for group in _battery_seed_rows(
-                    context, constrained, projections, offset
-                )
-            ]
-            run = battery_run_batch(
-                demand_block,
-                supply_block,
-                **_battery_columns(all_specs),
-                charge_plane=False,
-                seeds=seeds,
-            )
-            return [
-                _finish_battery_rows(context, constrained, projections, run, offset)
-                for (context, constrained, projections, _, _), offset in zip(
-                    segments, offsets
-                )
-            ]
-        run = combined_run_batch(
-            demand_block,
-            supply_block,
-            **_battery_columns(all_specs),
-            capacity_mw=np.array([c for seg in segments for c in seg[4]]),
-            flexible_ratio=np.array(
-                [d.flexible_ratio for seg in segments for d in seg[1]]
-            ),
-            deadline_hours=COMBINED_DEADLINE_HOURS,
-            charge_plane=False,
-        )
-        return [
-            _finish_combined_rows(context, constrained, projections, run, offset)
-            for (context, constrained, projections, _, _), offset in zip(
-                segments, offsets
-            )
-        ]

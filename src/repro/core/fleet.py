@@ -1,12 +1,10 @@
 """Fleet sweep policy: all sites, one engine, per-site fault domains.
 
 The paper's headline results (Figs. 9, 14, 15) rank all thirteen grids
-against each other, but per-site :func:`repro.core.optimizer.optimize`
-calls sweep them strictly one at a time — one wedged or faulty site
-stalls the whole ranking, and an interrupt throws away every completed
-site.  :func:`sweep_fleet` instead schedules the entire fleet over **one
-shared worker pool**, as *policy* over the shared
-:class:`repro.core.engine.SweepEngine` dispatch loop:
+against each other.  :func:`sweep_fleet` schedules the entire fleet over
+**one shared worker pool**, as *policy* over the shared
+:class:`repro.core.engine.SweepEngine` dispatch loop.  It is the one
+sweep mode: :func:`repro.core.optimizer.optimize` is a one-site fleet.
 
 * **One shm segment per site** — every site's traces are packed into its
   own shared-memory segment (:mod:`repro.core.shm`); workers receive the
@@ -21,10 +19,11 @@ shared worker pool**, as *policy* over the shared
   cannot serialize behind its fair share once the small sites finish.
   Stealing moves *capacity*, never chunks, so per-site results stay
   bitwise-identical with it on or off.
-* **Per-site fault domains** — a site whose segment cannot be attached,
-  whose chunks exhaust their retries, or whose payloads keep failing
-  validation is *quarantined*: its remaining chunks degrade to serial
-  in-parent evaluation (or the site is marked failed, with
+* **Per-site fault domains** — a failed chunk is requeued at the tail of
+  its site's queue (the shared pool keeps serving other work in the
+  meantime).  A site whose segment cannot be attached, or whose chunk
+  exhausts its retries, is *quarantined*: its remaining chunks degrade
+  to serial in-parent evaluation (or the site is marked failed, with
   ``quarantine="fail"``) while every other site keeps sweeping.  Chunk
   evaluation is deterministic, so a quarantined-but-completed site is
   still bitwise-identical to a fault-free serial sweep.
@@ -32,8 +31,8 @@ shared worker pool**, as *policy* over the shared
   when it trips, unfinished sites are closed out as
   ``deadline_exceeded`` with their partial frontiers instead of hanging
   the caller.  Stall detection is *adaptive*: an EWMA over observed
-  chunk durations (:class:`repro.resilience.AdaptiveChunkTimeout`)
-  replaces the one-size fixed ``chunk_timeout``.
+  chunk durations (:class:`repro.resilience.AdaptiveChunkTimeout`),
+  seeded by ``chunk_timeout``.
 * **Streaming partial results** — the sweep narrates itself onto a
   :class:`repro.obs.SweepEvents` bus (``sweep_started`` /
   ``chunk_completed`` / ``frontier_updated`` / ``capacity_stolen`` /
@@ -43,34 +42,25 @@ shared worker pool**, as *policy* over the shared
   what ``repro rank --stream`` consumes — while push subscribers keep
   working as before.
 
-Chunk boundaries come from the same pure
-:func:`~repro.core.engine.sweep_chunk_size` function :func:`optimize`
-uses, and per-site journals are written with the same fingerprints — a
-fleet journal resumes under :func:`optimize` and vice versa (both paths
-derive journal names through
+Per-site journals are written with the same fingerprints and chunking
+whichever entry point runs the sweep — a fleet journal resumes under
+:func:`optimize` and vice versa (both derive journal names through
 :func:`repro.resilience.checkpoint.sweep_journal_path`).
-
-Retry semantics differ from :func:`optimize` deliberately: a failed
-chunk is requeued at the tail of its site's queue instead of waiting out
-an exponential-backoff window, because the shared pool keeps serving the
-other sites in the meantime — the interleaving itself provides the
-spacing that backoff buys a single-site sweep.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs import ProgressCallback, SweepEvents, get_logger, span
 from ..obs.events import SweepEvent
 from ..resilience import AdaptiveChunkTimeout, FleetFaultPlan
 from ..resilience.checkpoint import PathLike, sweep_journal_path
-from .design import DesignSpace, Strategy
+from .design import Strategy
 from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine
-from .evaluate import DesignEvaluation, SiteContext
-from .optimizer import OptimizationResult
+from .evaluate import DesignEvaluation
 from .pareto import pareto_frontier
 
 _log = get_logger("core.fleet")
@@ -78,6 +68,34 @@ _log = get_logger("core.fleet")
 #: One fleet site: (site key, context, design space).  Keys must be unique;
 #: the CLI uses state codes.
 FleetSite = EngineSite
+
+
+@dataclass(frozen=True)
+class OptimizationResult:
+    """Outcome of one exhaustive sweep of one site.
+
+    Attributes
+    ----------
+    strategy:
+        The solution portfolio the sweep was constrained to.
+    best:
+        The evaluation minimizing total (operational + embodied) carbon.
+    evaluations:
+        Every grid point evaluated, in grid order.
+    """
+
+    strategy: Strategy
+    best: DesignEvaluation
+    evaluations: Tuple[DesignEvaluation, ...]
+
+    @property
+    def n_evaluated(self) -> int:
+        """Number of designs the sweep evaluated."""
+        return len(self.evaluations)
+
+    def best_coverage(self) -> float:
+        """Coverage of the carbon-optimal design (a Fig. 15 annotation)."""
+        return self.best.coverage
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,8 @@ class FleetInterrupted(KeyboardInterrupt):
     Exception`` handlers cannot swallow it.  ``completed`` carries every
     site that finished before the interrupt — the CLI prints the partial
     rank table from it — and per-site journals (when checkpointing) hold
-    every committed chunk for ``--resume``.
+    every committed chunk for ``--resume``.  ``done`` / ``total`` count
+    committed and planned grid points across the fleet.
     """
 
     def __init__(
@@ -165,12 +184,16 @@ class FleetInterrupted(KeyboardInterrupt):
         pending: Tuple[str, ...],
         strategy: str,
         checkpoint: Optional[str] = None,
+        done: int = 0,
+        total: int = 0,
     ) -> None:
         super().__init__()
         self.completed = completed
         self.pending = pending
         self.strategy = strategy
         self.checkpoint = checkpoint
+        self.done = done
+        self.total = total
 
     def __str__(self) -> str:
         done = ", ".join(s.site for s in self.completed) or "none"
@@ -241,7 +264,7 @@ class FleetSweep:
         engine: SweepEngine,
         strategy: Strategy,
         deadline_s: Optional[float],
-        checkpoint: Optional[PathLike],
+        checkpoint: Optional[str],
     ) -> None:
         self._engine = engine
         self._strategy = strategy
@@ -298,9 +321,9 @@ class FleetSweep:
                     state.key for state in engine.states if state.status is None
                 ),
                 strategy=strategy.value,
-                checkpoint=(
-                    str(self._checkpoint) if self._checkpoint is not None else None
-                ),
+                checkpoint=self._checkpoint,
+                done=engine.done_points,
+                total=engine.fleet_total,
             ) from None
         finally:
             engine.cleanup(interrupted=interrupted)
@@ -328,7 +351,7 @@ def prepare_fleet(
     chunk_timeout: Optional[float] = None,
     timeout_multiplier: float = 8.0,
     timeout_floor_s: float = 0.25,
-    checkpoint: Optional[PathLike] = None,
+    checkpoint: Union[None, PathLike, Mapping[str, PathLike]] = None,
     resume: bool = False,
     faults: Optional[FleetFaultPlan] = None,
     quarantine: str = "serial",
@@ -344,10 +367,19 @@ def prepare_fleet(
     execute (what :func:`sweep_fleet` does), and consume
     :meth:`FleetSweep.results` from another thread to stream events
     without registering callbacks.  All arguments match
-    :func:`sweep_fleet`.
+    :func:`sweep_fleet`; ``checkpoint`` may also be a site key → journal
+    path mapping, used as given (how :func:`optimize` keeps the exact
+    path its caller named).  Every sweep, fleet or one-site, is
+    validated here.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if chunk_timeout is not None and chunk_timeout <= 0:
+        raise ValueError(
+            f"chunk_timeout must be positive or None, got {chunk_timeout}"
+        )
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError(f"deadline_s must be positive or None, got {deadline_s}")
     if batch_size is not None and batch_size < 1:
@@ -361,12 +393,17 @@ def prepare_fleet(
     keys = [key for key, _, _ in sites]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate site keys in fleet: {keys}")
+    if checkpoint is None or isinstance(checkpoint, Mapping):
+        journals = checkpoint
+        base = None
+    else:
+        journals = {key: fleet_checkpoint_path(checkpoint, key) for key in keys}
+        base = str(checkpoint)
 
     engine = SweepEngine(
         sites,
         strategy,
         workers=workers,
-        fleet=True,
         deadline_s=deadline_s,
         max_retries=max_retries,
         timeout=AdaptiveChunkTimeout(
@@ -374,11 +411,7 @@ def prepare_fleet(
             multiplier=timeout_multiplier,
             floor_s=timeout_floor_s,
         ),
-        checkpoints=(
-            {key: fleet_checkpoint_path(checkpoint, key) for key in keys}
-            if checkpoint is not None
-            else None
-        ),
+        checkpoints=journals,
         resume=resume,
         faults=faults,
         quarantine=quarantine,
@@ -393,7 +426,7 @@ def prepare_fleet(
             raise ValueError(
                 f"design space for site {state.key!r} produced no points"
             )
-    return FleetSweep(engine, strategy, deadline_s, checkpoint)
+    return FleetSweep(engine, strategy, deadline_s, base)
 
 
 def sweep_fleet(

@@ -11,76 +11,31 @@ double as the raw data for the Pareto and Fig. 15 analyses).
 
 Sweeps are *resilient* (see :mod:`repro.resilience` and DESIGN.md's
 "Resilience" section): the grid is processed in contiguous chunks; failed
-chunks — crashed workers, poisoned pools, stalls past a per-chunk timeout,
-corrupt payloads — are retried with exponential backoff and finally
-re-evaluated serially in-process, so a sweep always completes with results
-bitwise-identical to a fault-free serial run.  With ``checkpoint=`` every
-completed chunk is journaled as it finishes, and ``resume=True`` skips the
-journaled grid indices after validating the journal's fingerprint against
-the exact sweep being run.
+chunks — crashed workers, poisoned pools, stalls past the adaptive stall
+budget, corrupt payloads — are requeued and, once a chunk exhausts its
+retries, the rest of the grid is evaluated serially in-process, so a
+sweep always completes with results bitwise-identical to a fault-free
+serial run.  With ``checkpoint=`` every completed chunk is journaled as
+it finishes, and ``resume=True`` skips the journaled grid indices after
+validating the journal's fingerprint against the exact sweep being run.
 
-Since the sweep-engine refactor this module is *policy*, not mechanism:
-:func:`optimize` runs a one-site :class:`repro.core.engine.SweepEngine`
-(bitwise-identical results, same signature), translating its historical
-retry knobs — ``max_retries``, exponential ``backoff_s``, a fixed
-``chunk_timeout`` stall budget — into the engine's per-chunk accounting.
-All pool, shared-memory, journal, and commit mechanics live in
-:mod:`repro.core.engine`.
+This module is *policy*, not mechanism: :func:`optimize` is a one-site
+fleet (:func:`repro.core.fleet.prepare_fleet`), so it shares the one
+sweep mode of :class:`repro.core.engine.SweepEngine` — its events,
+progress, retries and quarantine are those of a fleet sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from ..obs import ProgressCallback, SweepEvents, get_logger, inc, set_gauge, span
-from ..resilience import AdaptiveChunkTimeout, FaultPlan, RetryPolicy, SweepInterrupted
+from ..obs import ProgressCallback, SweepEvents, span
+from ..resilience import FaultPlan, SweepInterrupted
 from ..resilience.checkpoint import PathLike, sweep_journal_path
-from .design import DesignPoint, DesignSpace, Strategy, default_design_space
-from .engine import (  # noqa: F401  (re-exported: chunk planning is engine-owned)
-    _TARGET_CHUNKS,
-    _chunk_missing_indices,
-    _ContextPayload,
-    _mp_context,
-    _SiteFaultAdapter,
-    SweepEngine,
-    sweep_chunk_size,
-)
-from .evaluate import (
-    DesignEvaluation,
-    SiteContext,
-    evaluate_block_sites,
-)
-
-_log = get_logger("core.optimizer")
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Outcome of one exhaustive sweep.
-
-    Attributes
-    ----------
-    strategy:
-        The solution portfolio the sweep was constrained to.
-    best:
-        The evaluation minimizing total (operational + embodied) carbon.
-    evaluations:
-        Every grid point evaluated, in grid order.
-    """
-
-    strategy: Strategy
-    best: DesignEvaluation
-    evaluations: Tuple[DesignEvaluation, ...]
-
-    @property
-    def n_evaluated(self) -> int:
-        """Number of designs the sweep evaluated."""
-        return len(self.evaluations)
-
-    def best_coverage(self) -> float:
-        """Coverage of the carbon-optimal design (a Fig. 15 annotation)."""
-        return self.best.coverage
+from .design import DesignSpace, Strategy, default_design_space
+from .engine import _SiteFaultAdapter
+from .evaluate import SiteContext
+from .fleet import FleetInterrupted, OptimizationResult, prepare_fleet
 
 
 def optimize(
@@ -91,7 +46,6 @@ def optimize(
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
-    backoff_s: float = 0.1,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -101,17 +55,20 @@ def optimize(
 ) -> OptimizationResult:
     """Exhaustively evaluate ``space`` under ``strategy`` for one site.
 
+    A one-site :func:`~repro.core.fleet.sweep_fleet` keyed by the site's
+    state code, journaling to exactly ``checkpoint``.
+
     ``progress``, when given, is called with ``(done, total,
-    strategy_name)`` — ``done`` is a completed *count*, not a grid
-    position; see :class:`repro.obs.ProgressCallback` for the exact
-    semantics (serial sweeps report per point, parallel sweeps per
-    completed chunk, resumed sweeps start at the checkpointed count).
+    strategy_name)`` after every committed chunk — ``done`` is a
+    completed *count*, not a grid position; see
+    :class:`repro.obs.ProgressCallback` (resumed sweeps start at the
+    checkpointed count).
 
     ``events``, when given, receives the sweep's lifecycle on a
     :class:`repro.obs.SweepEvents` bus: ``sweep_started``, one
     ``chunk_completed`` per committed chunk (chunks restored from a
     resumed journal are mirrored with ``resumed: true`` before any live
-    chunk), ``chunk_retried`` per re-submitted parallel chunk,
+    chunk), ``chunk_retried`` per re-submitted chunk,
     ``frontier_updated`` whenever a committed chunk lowers the running
     best total carbon, and ``sweep_finished`` with the optimum.  Grid
     chunking is a pure function of the grid size, so the
@@ -121,12 +78,12 @@ def optimize(
     Resilience (see :mod:`repro.resilience`):
 
     * ``workers > 1`` fans grid chunks across a process pool; a failed or
-      stalled chunk is retried up to ``max_retries`` times with
-      exponential backoff (``backoff_s`` base, doubling per attempt) and
-      finally re-evaluated serially in-process, so the sweep completes
-      with evaluations bitwise-identical to a serial run regardless of
-      worker crashes.  ``chunk_timeout`` (seconds) is the stall detector:
-      a chunk that produces no result within it is failed and retried.
+      stalled chunk is requeued up to ``max_retries`` times, after which
+      the site is quarantined and its remaining chunks are evaluated
+      serially in-process, so the sweep completes with evaluations
+      bitwise-identical to a serial run regardless of worker crashes.
+      ``chunk_timeout`` (seconds) seeds the stall budget; an EWMA over
+      observed chunk durations takes over as chunks complete.
     * ``checkpoint`` names a journal file appended to as chunks finish;
       ``resume=True`` loads it, validates its fingerprint against this
       exact sweep, and skips already-journaled grid indices.  An
@@ -139,68 +96,37 @@ def optimize(
       zero-copy shared-memory trace plane (:mod:`repro.core.shm`): the
       traces are packed into one segment and each pool initializer gets a
       <1 KB :class:`~repro.core.shm.SiteContextHandle` instead of the
-      ~850 KB context pickle.  The segment is created once per sweep,
-      re-attached by a rebuilt pool's workers, and unlinked on every exit
-      path (completion, exception, interrupt).  ``shm=False`` — or a
-      platform where segment creation fails, which logs a warning —
-      falls back to pickling the full context.  Results are bitwise
-      identical either way.
-    * ``batch_size`` routes every path — serial, parallel workers, the
-      post-retry serial fallback, and resumed sweeps — through
-      :func:`repro.core.evaluate.evaluate_block`, which tensorizes each
-      chunk's design axis into one ``(design, hour)`` kernel call
-      (:mod:`repro.kernels.batch`).  Chunks are widened to at least
-      ``batch_size`` grid points (still a pure function of the grid and
-      this argument, never of ``workers``), and every evaluation stays
-      bitwise-identical to the default per-design loop.  ``None`` (the
-      default) keeps the legacy per-design path and chunking exactly.
+      ~850 KB context pickle.  ``shm=False`` — or a platform where
+      segment creation fails, which logs a warning — falls back to
+      pickling the full context.  Results are bitwise identical either
+      way.
+    * ``batch_size`` widens chunks to at least ``batch_size`` grid points
+      (still a pure function of the grid and this argument, never of
+      ``workers``).  Every chunk goes through
+      :func:`repro.core.evaluate.evaluate_block`, which tensorizes a
+      chunk's design axis into one ``(design, hour)`` kernel call when
+      the chunk is large enough; every evaluation stays bitwise-identical
+      to the per-design path.
 
     Raises
     ------
     ValueError
-        If ``workers < 1``, ``batch_size < 1``, ``resume`` is requested
-        without a ``checkpoint``, or the constrained space is empty.
+        If ``workers < 1``, ``max_retries < 0``, ``batch_size < 1``,
+        ``resume`` is requested without a ``checkpoint``, or the
+        constrained space is empty.
     repro.resilience.CheckpointError
         If the checkpoint file is damaged.
     repro.resilience.CheckpointMismatchError
         If the checkpoint belongs to a different site/seed/space/strategy.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint path")
-    # RetryPolicy validates the retry knobs (and raises the historical
-    # messages) even though the engine consumes them piecemeal.
-    policy = RetryPolicy(
-        max_retries=max_retries,
-        backoff_base_s=backoff_s,
-        chunk_timeout_s=chunk_timeout,
-    )
-    total = space.size(strategy)
     site = context.site_state
-
-    if events is not None:
-        events.emit(
-            "sweep_started",
-            site=site,
-            strategy=strategy.value,
-            total=total,
-            workers=workers,
-        )
-
-    engine = SweepEngine(
+    handle = prepare_fleet(
         [(site, context, space)],
         strategy,
         workers=workers,
-        fleet=False,
         max_retries=max_retries,
-        backoff=policy,
-        # A fixed stall budget (None = no stall detection): single-site
-        # sweeps never feed the EWMA, preserving the chunk_timeout contract.
-        timeout=AdaptiveChunkTimeout(initial_s=chunk_timeout),
-        checkpoints={site: checkpoint} if checkpoint is not None else None,
+        chunk_timeout=chunk_timeout,
+        checkpoint={site: checkpoint} if checkpoint is not None else None,
         resume=resume,
         faults=_SiteFaultAdapter(faults) if faults is not None else None,
         shm=shm,
@@ -208,70 +134,27 @@ def optimize(
         batch_size=batch_size,
         progress=progress,
     )
-    state = engine.states[0]
-    try:
-        engine.setup()
-        _log.info(
-            "sweep start: site=%s strategy=%s grid_points=%d workers=%d "
-            "pending_chunks=%d resumed_evaluations=%d",
-            site,
-            strategy.value,
-            total,
-            workers,
-            state.n_chunks,
-            engine.done_points,
-        )
-        with span(
-            "optimize",
-            strategy=strategy.value,
-            site=site,
-            grid_points=total,
-            workers=workers,
-        ):
-            engine.dispatch()
-    except KeyboardInterrupt:
-        if checkpoint is not None:
+    with span(
+        "optimize",
+        strategy=strategy.value,
+        site=site,
+        grid_points=space.size(strategy),
+        workers=workers,
+    ):
+        try:
+            fleet = handle.run()
+        except FleetInterrupted as interrupted:
+            if checkpoint is None:
+                raise
             raise SweepInterrupted(
                 checkpoint=str(checkpoint),
-                done=engine.done_points,
-                total=total,
+                done=interrupted.done,
+                total=interrupted.total,
                 strategy=strategy.value,
             ) from None
-        raise
-    finally:
-        # Deterministic teardown: completion, exceptions, and
-        # SweepInterrupted all unlink the shared segment and close the
-        # journal here.
-        engine.cleanup()
-
-    results = state.results
-    if not all(evaluation is not None for evaluation in results):
-        raise AssertionError("sweep left unevaluated grid points")  # pragma: no cover
-    evaluations = results
-    if not evaluations:
-        raise ValueError("design space produced no points")
-    best = min(evaluations, key=lambda e: e.total_tons)  # type: ignore[union-attr]
-    inc("sweeps_completed")
-    set_gauge("sweep_grid_points", total)
-    if events is not None:
-        events.emit(
-            "sweep_finished",
-            site=site,
-            strategy=strategy.value,
-            total=total,
-            best_total_tons=best.total_tons,
-            best_coverage=best.coverage,
-        )
-    _log.info(
-        "sweep done: site=%s strategy=%s best_total_tons=%.1f coverage=%.3f",
-        site,
-        strategy.value,
-        best.total_tons,
-        best.coverage,
-    )
-    return OptimizationResult(
-        strategy=strategy, best=best, evaluations=tuple(evaluations)  # type: ignore[arg-type]
-    )
+    result = fleet.sites[0].result
+    assert result is not None, "a one-site sweep without a deadline always finishes"
+    return result
 
 
 def optimize_all_strategies(
@@ -281,7 +164,6 @@ def optimize_all_strategies(
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
-    backoff_s: float = 0.1,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -314,7 +196,6 @@ def optimize_all_strategies(
             workers=workers,
             max_retries=max_retries,
             chunk_timeout=chunk_timeout,
-            backoff_s=backoff_s,
             checkpoint=strategy_checkpoint_path(checkpoint, strategy),
             resume=resume,
             faults=faults,
@@ -324,103 +205,6 @@ def optimize_all_strategies(
         )
         for strategy in Strategy
     }
-
-
-def optimize_fleet(
-    sites: Sequence[Tuple[SiteContext, DesignSpace]],
-    strategy: Strategy,
-    *,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[OptimizationResult]:
-    """Sweep several sites under one strategy through merged kernel blocks.
-
-    A multi-site study (Fig. 14's three-site column, Fig. 15's thirteen
-    regions) runs the same grid at every site.  Per-site sweeps pay the
-    batched kernels' near-constant hour-loop dispatch cost once per site;
-    this entry point folds the site axis into the design axis instead —
-    :func:`repro.core.evaluate.evaluate_block_sites` stacks each site's
-    demand trace into a ``(design, hour)`` block row-for-row with its
-    supply — so the whole fleet pays that cost once.  Results are
-    bitwise-identical to ``[optimize(context, space, strategy,
-    batch_size=...) for context, space in sites]``: the kernels are pure
-    row-wise lockstep, and strategies (or blocks) that cannot merge fall
-    back to per-site evaluation inside ``evaluate_block_sites``.
-
-    ``batch_size`` caps the rows merged into one kernel call (``None``,
-    the default, merges the entire fleet — at thirteen sites × a few
-    hundred designs the block is tens of MB, far below memory pressure,
-    and fewer calls is strictly faster).  ``progress`` receives ``(done,
-    total, strategy_name)`` with ``total`` counting rows fleet-wide.
-
-    This is a serial, in-process path: it composes with ``workers=1``
-    sweeps only.  Multi-process fleets should keep per-site
-    :func:`optimize` calls (the trace plane ships one site per worker).
-    """
-    sites = [(context, space) for context, space in sites]
-    if not sites:
-        return []
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    per_site_designs = [
-        list(space.points(strategy)) for _, space in sites
-    ]
-    if any(not designs for designs in per_site_designs):
-        raise ValueError("design space produced no points")
-    totals = [len(designs) for designs in per_site_designs]
-    total = sum(totals)
-    rows = [
-        (site_index, design)
-        for site_index, designs in enumerate(per_site_designs)
-        for design in designs
-    ]
-    chunk_size = total if batch_size is None else batch_size
-
-    collected: List[List[DesignEvaluation]] = [[] for _ in sites]
-    done = 0
-    with span(
-        "optimize_fleet",
-        strategy=strategy.value,
-        n_sites=len(sites),
-        grid_points=total,
-    ):
-        for start in range(0, total, chunk_size):
-            chunk = rows[start : start + chunk_size]
-            segments: List[Tuple[SiteContext, List[DesignPoint]]] = []
-            segment_sites: List[int] = []
-            for site_index, design in chunk:
-                if not segment_sites or segment_sites[-1] != site_index:
-                    segments.append((sites[site_index][0], []))
-                    segment_sites.append(site_index)
-                segments[-1][1].append(design)
-            evaluated = evaluate_block_sites(segments, strategy)
-            for site_index, evaluations in zip(segment_sites, evaluated):
-                collected[site_index].extend(evaluations)
-                done += len(evaluations)
-            if progress is not None:
-                progress(done, total, strategy.value)
-
-    results: List[OptimizationResult] = []
-    for (context, _), evaluations, site_total in zip(sites, collected, totals):
-        if len(evaluations) != site_total:  # pragma: no cover
-            raise AssertionError("fleet sweep left unevaluated grid points")
-        best = min(evaluations, key=lambda e: e.total_tons)
-        inc("sweeps_completed")
-        set_gauge("sweep_grid_points", site_total)
-        _log.info(
-            "fleet sweep done: site=%s strategy=%s best_total_tons=%.1f "
-            "coverage=%.3f",
-            context.site_state,
-            strategy.value,
-            best.total_tons,
-            best.coverage,
-        )
-        results.append(
-            OptimizationResult(
-                strategy=strategy, best=best, evaluations=tuple(evaluations)
-            )
-        )
-    return results
 
 
 def strategy_checkpoint_path(

@@ -10,7 +10,7 @@ contain an ``.unlink()`` call in a ``try``/``finally``.
 
 The owner modules (``core/shm.py``, ``core/engine.py``) intentionally
 *transfer* ownership — ``share_context`` hands the live segment to
-``SharedSiteContext``, whose ``unlink`` the optimizer calls in its own
+``SharedSiteContext``, whose ``unlink`` the engine's cleanup calls in a
 ``finally``.  That shape is invisible to this file-local rule, so those
 modules are excluded here and policed by RL010 instead, which follows
 the transfer through the project call graph and verifies the receiving

@@ -1,6 +1,6 @@
 """Progress reporting for long-running sweeps.
 
-The optimizer accepts any callable matching :class:`ProgressCallback`;
+Every sweep accepts any callable matching :class:`ProgressCallback`;
 the library itself never prints.  :class:`ProgressTicker` is the CLI's
 implementation: a single self-rewriting ``evaluated/total`` line on
 stderr, automatically silent when the stream is not an interactive
@@ -23,9 +23,10 @@ except ImportError:  # pragma: no cover - ancient interpreters only
 class ProgressCallback(Protocol):
     """Protocol for sweep progress consumers.
 
-    Called after each completed unit of work with the number of units
-    ``done`` so far, the ``total`` expected, and a short human ``label``
-    for the phase (e.g. the strategy name being swept).
+    Sweeps call it once per committed grid chunk — serial or pooled,
+    one site or many — with the number of evaluations ``done`` so far,
+    the ``total`` expected, and a short human ``label`` for the phase
+    (e.g. the strategy name being swept).
 
     **Semantics of ``done``.**  ``done`` is a *completed count*, not a
     grid position: parallel sweeps complete chunks out of grid order, so

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import Strategy, SweepEngine, optimize, sweep_fleet
 from repro.core.design import DesignSpace
+from repro.obs import SweepEvents
 from repro.resilience import FaultPlan, FleetFaultPlan
 from repro.resilience.domains import SiteFaultPolicy
 
@@ -123,6 +124,38 @@ class TestCrossEntryPoint:
         assert sweep.status.value == "complete"
         assert sweep.evaluations == single.evaluations
         assert sweep.best == single.best
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_optimize_narrates_like_a_one_site_fleet(self, ut_context, workers):
+        """optimize() is a one-site fleet: given the same space and bus it
+        emits the same event kinds and payloads (timestamps aside) and
+        the same number of chunk_completed events, serial or pooled."""
+        strategy = Strategy.RENEWABLES_BATTERY
+        single_bus, fleet_bus = SweepEvents(), SweepEvents()
+        optimize(
+            ut_context, GOLDEN_SPACE, strategy, workers=workers, events=single_bus
+        )
+        sweep_fleet(
+            [("UT", ut_context, GOLDEN_SPACE)],
+            strategy,
+            workers=workers,
+            events=fleet_bus,
+        )
+        single = [(e.kind, e.payload) for e in single_bus.events()]
+        fleet = [(e.kind, e.payload) for e in fleet_bus.events()]
+        if workers > 1:
+            # Pooled chunks commit in completion order, which also decides
+            # which commits lower the running best: compare the rest of the
+            # narration as a multiset.
+            def settled(events):
+                return sorted(
+                    (e for e in events if e[0] != "frontier_updated"), key=repr
+                )
+
+            single, fleet = settled(single), settled(fleet)
+        assert single == fleet
+        completed = single_bus.counts()["chunk_completed"]
+        assert completed == fleet_bus.counts()["chunk_completed"] > 0
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pooled_engine_matches_serial_both_start_methods(
@@ -223,7 +256,6 @@ class TestWorkStealingChaos:
             [("UT", ut_context, BIG_SPACE), ("OR", or_context, GOLDEN_SPACE)],
             Strategy.RENEWABLES_BATTERY,
             workers=2,
-            fleet=True,
             events=bus,
         )
         try:
@@ -253,7 +285,6 @@ class TestWorkStealingChaos:
             [("UT", ut_context, BIG_SPACE), ("OR", or_context, GOLDEN_SPACE)],
             Strategy.RENEWABLES_BATTERY,
             workers=2,
-            fleet=True,
         )
         try:
             engine.setup()

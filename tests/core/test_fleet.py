@@ -24,6 +24,7 @@ from repro.core import (
     build_site_context,
     fleet_checkpoint_path,
     optimize,
+    prepare_fleet,
     shared_memory_available,
     sweep_fleet,
 )
@@ -134,6 +135,28 @@ class TestSerialFleet:
             sweep_fleet(trio_sites, STRATEGY, quarantine="ignore")
         with pytest.raises(ValueError, match="resume"):
             sweep_fleet(trio_sites, STRATEGY, resume=True)
+        with pytest.raises(ValueError, match="batch_size"):
+            sweep_fleet(trio_sites, STRATEGY, batch_size=0)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_non_positive_chunk_timeout_rejected(self, trio_sites, timeout):
+        with pytest.raises(ValueError, match="chunk_timeout"):
+            sweep_fleet(trio_sites, STRATEGY, chunk_timeout=timeout)
+
+    def test_negative_max_retries_rejected_for_every_sweep(self, trio_sites):
+        """prepare_fleet is the one gate every sweep passes: a negative
+        retry budget is refused for fleets and one-site optimize alike."""
+        with pytest.raises(ValueError, match="max_retries"):
+            prepare_fleet(trio_sites, STRATEGY, max_retries=-1)
+        with pytest.raises(ValueError, match="max_retries"):
+            sweep_fleet(trio_sites, STRATEGY, workers=2, max_retries=-1)
+        _, context, space = trio_sites[0]
+        with pytest.raises(ValueError, match="max_retries"):
+            optimize(context, space, STRATEGY, max_retries=-1)
+
+    def test_zero_retries_allowed(self, trio_sites, oracle):
+        result = sweep_fleet(trio_sites, STRATEGY, workers=2, max_retries=0)
+        _assert_bitwise(result, oracle, [k for k, _, _ in trio_sites])
 
 
 class TestPooledFleet:
@@ -147,6 +170,19 @@ class TestPooledFleet:
         result = sweep_fleet(trio_sites, STRATEGY, workers=2, shm=False)
         assert result.complete
         _assert_bitwise(result, oracle, [k for k, _, _ in trio_sites])
+
+    def test_context_pickle_bytes_gauge_covers_the_payload_map(
+        self, trio_sites, fresh_metrics
+    ):
+        """Every pooled sweep records what its initializer ships: a few
+        hundred bytes per site over shm, the full contexts without it."""
+        pair = trio_sites[:2]
+        sweep_fleet(pair, STRATEGY, workers=2)
+        shared = fresh_metrics.snapshot()["gauges"]["context_pickle_bytes"]
+        assert 0 < shared < 1024 * len(pair)
+        sweep_fleet(pair, STRATEGY, workers=2, shm=False)
+        pickled = fresh_metrics.snapshot()["gauges"]["context_pickle_bytes"]
+        assert pickled > 100_000
 
 
 class TestChaosSoak:

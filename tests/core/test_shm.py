@@ -163,7 +163,6 @@ class TestShmSweeps:
             Strategy.RENEWABLES_BATTERY,
             workers=2,
             faults=FaultPlan.from_spec("kill=0;corrupt=1"),
-            backoff_s=0.0,
         )
         assert result.evaluations == serial.evaluations
         assert _live_segments() == []

@@ -172,10 +172,11 @@ class TestObservabilityFlags:
             ]
         )
         assert code == 0
-        # configure_logging writes to stderr by default; the optimizer
-        # logs sweep start/end at INFO regardless of cache state.
+        # configure_logging writes to stderr by default; optimize runs
+        # as a one-site fleet, which logs sweep start/end at INFO
+        # regardless of cache state.
         err = capsys.readouterr().err
-        assert "repro.core.optimizer" in err
+        assert "repro.core.fleet" in err
         assert "sweep start" in err
 
 
