@@ -110,10 +110,10 @@ class BatterySeedCache:
     wind_mw)`` investment once per capacity/server coordinate with the
     same demand and supply traces, so the capacity-independent saturation
     structure (gap trace, rail stretch indices) is built once and seeds
-    every capacity's run.  Seeded and unseeded runs are bitwise
-    identical; hit/miss totals are the ``battery_seed_cache_hits`` /
-    ``battery_seed_cache_misses`` counters.  LRU-bounded — each seed
-    holds a few year-length arrays.
+    every capacity's per-design run (batched blocks never consult it).
+    Seeded and unseeded runs are bitwise identical; hit/miss totals are
+    the ``battery_seed_cache_hits`` / ``battery_seed_cache_misses``
+    counters.  LRU-bounded — each seed holds a few year-length arrays.
     """
 
     _MAX_ENTRIES = 64
@@ -594,15 +594,13 @@ def evaluate_block(
     and bounded: batched blocks emit one ``evaluate_block`` span instead
     of D ``evaluate_design``/``simulate_*`` spans, and count rows into
     ``designs_batched`` and the ``batch_rows_peak`` gauge.
-    ``RENEWABLES_BATTERY`` blocks also reach the battery seed cache —
-    contiguous rows sharing one projected supply row form a seeded group
-    (:func:`_battery_seed_rows`) whose rail fast-forwards skip whole
-    saturation stretches inside the batched kernel, so
-    ``battery_seed_cache_*`` move and ``battery_rows_seeded`` counts the
-    grouped rows (``battery_runs_seeded`` still counts only serial
-    seeded runs).  All simulation counters (``designs_evaluated``,
-    ``battery_sims``, ``schedules_run``, ``combined_sims``, MWh/hour
-    totals, …) match the per-design path exactly.
+    Battery seeds (:class:`BatterySeedCache`) serve the per-design path
+    only: a batched ``RENEWABLES_BATTERY`` block runs one lockstep loop
+    for all its rows, so it leaves ``battery_seed_cache_*`` and
+    ``battery_runs_seeded`` untouched.  All simulation counters
+    (``designs_evaluated``, ``battery_sims``, ``schedules_run``,
+    ``combined_sims``, MWh/hour totals, …) match the per-design path
+    exactly.
     """
     if strategy is Strategy.RENEWABLES_ONLY or len(designs) < _batch_min_rows(
         strategy
@@ -644,7 +642,6 @@ def evaluate_block(
                 supply_block,
                 **_battery_columns(specs),
                 charge_plane=False,
-                seeds=_battery_seed_rows(context, constrained, projections),
             )
             evaluations = _finish_battery_rows(context, constrained, projections, run)
 
@@ -697,38 +694,6 @@ def evaluate_block(
             evaluations = _finish_combined_rows(context, constrained, projections, run)
 
     return [evaluation for evaluation in evaluations if evaluation is not None]
-
-
-def _battery_seed_rows(context: SiteContext, constrained, projections):
-    """Seeded ``(row_start, row_stop, BatterySeed)`` groups for a block.
-
-    Consecutive rows sharing one projected supply object (every capacity
-    point of an investment reuses the same
-    :class:`SupplyProjectionCache` entry, so identity — not equality —
-    is the group key) share the seed's capacity-independent saturation
-    structure; the batched battery kernel fast-forwards each group
-    through its rail stretches.  Single-row groups are skipped: there is
-    no capacity axis to share the pre-pass across, and the lockstep loop
-    is already optimal for them.
-    """
-    seeds = []
-    start = 0
-    n_rows = len(projections)
-    while start < n_rows:
-        supply = projections[start][2]
-        stop = start + 1
-        while stop < n_rows and projections[stop][2] is supply:
-            stop += 1
-        if stop - start >= 2:
-            design = constrained[start]
-            seed = context.battery_seed_cache.seed_for(
-                (design.investment.solar_mw, design.investment.wind_mw),
-                supply.values,
-            )
-            seeds.append((start, stop, seed))
-            inc("battery_rows_seeded", stop - start)
-        start = stop
-    return seeds
 
 
 def _battery_columns(specs) -> Dict[str, np.ndarray]:

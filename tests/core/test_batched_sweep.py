@@ -145,6 +145,40 @@ class TestBatchedEqualsSerial:
             )
 
 
+class TestBatterySeedRouting:
+    """Battery seeds serve per-design runs only; batched blocks run one
+    lockstep loop and never touch the seed cache."""
+
+    SPACE = DesignSpace(
+        solar_mw=(0.0, 30.0),
+        wind_mw=(0.0, 30.0),
+        battery_mwh=(0.0, 25.0, 50.0),
+        extra_capacity_fractions=(0.0,),
+    )
+
+    def test_batched_block_skips_seeds(self, ut_context, fresh_metrics):
+        strategy = Strategy.RENEWABLES_BATTERY
+        total = self.SPACE.size(strategy)
+        oracle = per_design(ut_context, self.SPACE, strategy)
+        reset_metrics()
+        batched = optimize(ut_context, self.SPACE, strategy, batch_size=total)
+        assert batched.evaluations == oracle.evaluations
+        assert fresh_metrics.counter_value("designs_batched") == total
+        assert fresh_metrics.counter_value("battery_seed_cache_hits") == 0
+        assert fresh_metrics.counter_value("battery_seed_cache_misses") == 0
+
+    def test_sub_floor_block_takes_seeds(
+        self, ut_context, fresh_metrics, monkeypatch
+    ):
+        strategy = Strategy.RENEWABLES_BATTERY
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000000")
+        optimize(
+            ut_context, self.SPACE, strategy, batch_size=self.SPACE.size(strategy)
+        )
+        assert fresh_metrics.counter_value("designs_batched") == 0
+        assert fresh_metrics.counter_value("battery_runs_seeded") > 0
+
+
 class TestBatchedParallelSweeps:
     def test_parallel_batched_equals_serial(self, ut_context, small_space):
         serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY_CAS)

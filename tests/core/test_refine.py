@@ -132,18 +132,20 @@ class TestFrontierRefinement:
         self, context, coarse_space, monkeypatch
     ):
         """batch_size forwards to every optimize() call without changing a
-        single evaluation."""
-        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        single evaluation.  Only the batched call drops the batch floor, so
+        the plain run stays on the per-design path."""
         plain = refine_frontier(
             context, coarse_space, Strategy.RENEWABLES_BATTERY, n_rounds=1
         )
-        batched = refine_frontier(
-            context,
-            coarse_space,
-            Strategy.RENEWABLES_BATTERY,
-            n_rounds=1,
-            batch_size=4,
-        )
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+            batched = refine_frontier(
+                context,
+                coarse_space,
+                Strategy.RENEWABLES_BATTERY,
+                n_rounds=1,
+                batch_size=4,
+            )
         assert plain.frontier == batched.frontier
         assert plain.best == batched.best
         assert plain.total_evaluations == batched.total_evaluations

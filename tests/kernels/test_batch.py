@@ -9,7 +9,7 @@ original object loops, so these tests transitively pin the batch kernels
 to the pre-kernel semantics.
 
 Covered edges: ``D = 1`` blocks, zero-capacity rows mixed into live
-blocks, per-row ``(D, H)`` demand (the fleet-merge layout), the lazy
+blocks, per-row ``(D, H)`` demand, rail-saturated blocks, the lazy
 output planes, ``charge_plane=False``, NaN-freedom, and the surplus-soak
 hazard replay helper against an independent reimplementation of the
 serial FIFO walk.
@@ -128,7 +128,7 @@ class TestBatteryBatch:
     @settings(deadline=None, max_examples=25)
     @given(rows=ROWS, seed=SEEDS)
     def test_per_row_demand_block(self, rows, seed):
-        """(D, H) demand — each row its own trace (the fleet-merge layout)."""
+        """(D, H) demand — each row its own trace."""
         rng = np.random.default_rng(seed)
         demand = rng.uniform(0.0, 20.0, (len(rows), N_HOURS))
         supply = rng.uniform(0.0, 40.0, (len(rows), N_HOURS))
@@ -138,6 +138,29 @@ class TestBatteryBatch:
             assert np.array_equal(batch.grid_import[i], ref.grid_import)
             assert np.array_equal(batch.surplus[i], ref.surplus)
             assert np.array_equal(batch.charge_level[i], ref.charge_level)
+
+    @pytest.mark.parametrize("dod", [1.0, 0.8])
+    @pytest.mark.parametrize("soc", [0.0, 0.5, 1.0])
+    def test_rail_saturated_block(self, dod, soc):
+        """Supply dwarfs demand for half the horizon (every pack rides the
+        full rail), then drops to 0 (every pack drains to the floor rail):
+        the lockstep loop must hold both rails exactly like the serial
+        kernel."""
+        demand = np.full(N_HOURS, 10.0)
+        trace = np.where(np.arange(N_HOURS) < N_HOURS // 2, 100.0, 0.0)
+        rows = [
+            (dataclasses.replace(spec, depth_of_discharge=dod), soc, None, None)
+            for spec in SPEC_POOL
+        ]
+        supply = np.tile(trace, (len(rows), 1))
+        batch = battery_run_batch(demand, supply, **battery_columns(rows))
+        for i, (spec, _, _, _) in enumerate(rows):
+            ref = battery_run(demand, trace, **battery_kwargs(spec, soc))
+            assert np.array_equal(batch.grid_import[i], ref.grid_import)
+            assert np.array_equal(batch.surplus[i], ref.surplus)
+            assert np.array_equal(batch.charge_level[i], ref.charge_level)
+            assert batch.charged_mwh[i] == ref.charged_mwh
+            assert batch.discharged_mwh[i] == ref.discharged_mwh
 
     def test_single_row_block(self):
         demand, supply = make_traces(7, 1)
@@ -311,8 +334,7 @@ class TestCombinedBatch:
     @settings(deadline=None, max_examples=20)
     @given(rows=ROWS, seed=SEEDS)
     def test_per_row_demand_block(self, rows, seed):
-        """(D, H) demand — the fleet merge runs several sites' rows in one
-        combined block."""
+        """(D, H) demand — each row its own trace."""
         rng = np.random.default_rng(seed)
         demand = rng.uniform(0.0, 20.0, (len(rows), N_HOURS))
         supply = rng.uniform(0.0, 40.0, (len(rows), N_HOURS))
