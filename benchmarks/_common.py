@@ -55,11 +55,13 @@ def bench_workers() -> int:
 def bench_batch_size() -> Optional[int]:
     """Sweep batch size for the benches (``REPRO_BENCH_BATCH_SIZE``).
 
-    Defaults to 512 — sweep chunks tensorize into (design × hour) kernel
-    blocks (:mod:`repro.kernels.batch`), which is the configuration the
-    perf trajectory tracks; results are bitwise-identical either way.
-    Set ``REPRO_BENCH_BATCH_SIZE=0`` for the legacy per-design path
-    (what the CI ``compare.py`` diff smoke uses as its oracle).
+    Defaults to 512 — sweep chunks of 512 designs run as one (design ×
+    hour) block of the compiled kernels (:mod:`repro.kernels.batch`),
+    which is the configuration the perf trajectory tracks.  Set
+    ``REPRO_BENCH_BATCH_SIZE=0`` for the engine's default chunking
+    (about 32 chunks per grid, each still one kernel block), what the CI
+    ``compare.py`` diff smoke uses as its baseline; results are
+    bitwise-identical either way.
     """
     value = int(os.environ.get("REPRO_BENCH_BATCH_SIZE", "512"))
     return value if value > 0 else None

@@ -81,6 +81,7 @@ from .datacenter import SITE_ORDER
 from .grid import RenewableInvestment, generate_grid_dataset
 from .io import write_grid_csv, write_trace_csv
 from .lint.cli import add_lint_arguments, run_from_args as run_lint_from_args
+from .native import load as load_native_kernels
 from .obs import (
     JsonlSink,
     ProgressTicker,
@@ -267,9 +268,9 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="tensorize sweep chunks of at least N designs into one "
-        "(design x hour) kernel call (results are bitwise-identical to "
-        "the default per-design evaluation; try a few hundred)",
+        help="evaluate sweep chunks of at least N designs as one "
+        "(design x hour) kernel block (results are bitwise-identical "
+        "whatever N is; try a few hundred)",
     )
 
 
@@ -707,6 +708,9 @@ def cmd_stats(args: argparse.Namespace) -> None:
     was_metrics = metrics_enabled()
     _enable_collectors(trace=True, metrics=True)
     try:
+        # Resolve the kernel backend here, so the kernel_backend_native
+        # gauge is in the report even when only pool workers run kernels.
+        load_native_kernels()
         explorer = _explorer(args)
         space = explorer.default_space(
             n_renewable_steps=args.renewable_steps,

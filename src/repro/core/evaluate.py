@@ -11,7 +11,6 @@ the design buys.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from ..kernels.batch import (
     combined_run_batch,
     schedule_run_batch,
 )
+from ..native import load as load_native_kernels
 from ..obs import gauge_value, inc, set_gauge, span
 from ..scheduling import schedule_carbon_aware, simulate_combined
 from ..timeseries import DEFAULT_CALENDAR, HOURS_PER_DAY, HourlySeries, YearCalendar
@@ -469,29 +469,8 @@ def evaluate_design(
     )
 
 
-#: Smallest block (rows) worth routing through a batched kernel, per
-#: strategy.  The batched hour loop has a near-constant per-sweep cost
-#: (~8760 iterations of numpy dispatch regardless of D), so tiny blocks
-#: are faster through the serial per-design kernels; these floors were
-#: calibrated on the CI container against the serial kernels at the
-#: block sizes real sweeps produce.  ``REPRO_BATCH_MIN_ROWS`` overrides
-#: all three (the env var reaches spawned workers, which a monkeypatched
-#: module global would not).
-_BATCH_MIN_ROWS = {
-    Strategy.RENEWABLES_BATTERY: 48,
-    Strategy.RENEWABLES_CAS: 8,
-    Strategy.RENEWABLES_BATTERY_CAS: 48,
-}
-
 #: Deferral deadline for the combined battery + CAS strategy, hours.
 COMBINED_DEADLINE_HOURS = 24
-
-
-def _batch_min_rows(strategy: Strategy) -> int:
-    override = os.environ.get("REPRO_BATCH_MIN_ROWS")
-    if override:
-        return max(1, int(override))
-    return _BATCH_MIN_ROWS.get(strategy, 1)
 
 
 def _finish_evaluation(
@@ -556,6 +535,8 @@ def _batch_preconditions_hold(
     serial wrapper would reject (negative demand, FWR outside [0, 1],
     capacity below the demand peak) sends the whole block down the
     per-design path, where the original error surfaces unchanged.
+    Demand and supply are :class:`HourlySeries`, which reject NaN and
+    infinities, so no non-finite value reaches the block kernels.
     """
     if context.demand.power.min() < 0:
         return False
@@ -572,21 +553,20 @@ def evaluate_block(
     designs: Sequence[DesignPoint],
     strategy: Strategy,
 ) -> List[DesignEvaluation]:
-    """Evaluate a block of designs, batching the design axis when it pays.
+    """Evaluate a block of designs through the block API.
 
     Semantically identical to ``[evaluate_design(context, d, strategy)
     for d in designs]`` — every returned float is bitwise-equal to the
-    per-design result — but the year-long simulation loop runs *once*
-    over a ``(D, H)`` block (:mod:`repro.kernels.batch`) instead of once
-    per design.  This is the sweep engine's one evaluation call: the
-    block's own strategy and size decide its route, and the per-design
-    path remains both the fallback and the bitwise oracle:
+    per-design result — but the year-long simulation runs as one call of
+    the block API (:mod:`repro.kernels.batch`) over a ``(D, H)`` supply
+    block.  Once :mod:`repro.native` has loaded the compiled kernels
+    (on the first block of the process), that call walks the rows in C;
+    without them it maps the per-design Python kernels over the rows.
+    This is the sweep engine's one evaluation call.  Every battery, CAS
+    and combined block of any size takes the block API, except that:
 
-    * ``RENEWABLES_ONLY`` blocks always take it (the strategy is already
-      a couple of vectorized array ops — there is no loop to batch);
-    * blocks smaller than the per-strategy :data:`_BATCH_MIN_ROWS` floor
-      (``REPRO_BATCH_MIN_ROWS`` overrides it) take it, because the
-      batched hour loop costs roughly the same for 1 row as for 100;
+    * ``RENEWABLES_ONLY`` blocks take the per-design path (the strategy
+      is a couple of vectorized array ops — there is no hour loop);
     * blocks violating a serial wrapper's preconditions take it so the
       wrapper's validation error surfaces exactly as before.
 
@@ -595,16 +575,13 @@ def evaluate_block(
     of D ``evaluate_design``/``simulate_*`` spans, and count rows into
     ``designs_batched`` and the ``batch_rows_peak`` gauge.
     Battery seeds (:class:`BatterySeedCache`) serve the per-design path
-    only: a batched ``RENEWABLES_BATTERY`` block runs one lockstep loop
-    for all its rows, so it leaves ``battery_seed_cache_*`` and
-    ``battery_runs_seeded`` untouched.  All simulation counters
-    (``designs_evaluated``, ``battery_sims``, ``schedules_run``,
-    ``combined_sims``, MWh/hour totals, …) match the per-design path
-    exactly.
+    only, so a batched ``RENEWABLES_BATTERY`` block leaves
+    ``battery_seed_cache_*`` and ``battery_runs_seeded`` untouched.  All
+    simulation counters (``designs_evaluated``, ``battery_sims``,
+    ``schedules_run``, ``combined_sims``, MWh/hour totals, …) match the
+    per-design path exactly.
     """
-    if strategy is Strategy.RENEWABLES_ONLY or len(designs) < _batch_min_rows(
-        strategy
-    ):
+    if strategy is Strategy.RENEWABLES_ONLY or not designs:
         return [evaluate_design(context, design, strategy) for design in designs]
     constrained = [design.constrained_to(strategy) for design in designs]
     if not _batch_preconditions_hold(context, constrained):
@@ -625,6 +602,7 @@ def evaluate_block(
     specs = [d.battery_spec() for d in constrained]
     capacities = [peak * (1.0 + d.extra_capacity_fraction) for d in constrained]
     n_rows = len(constrained)
+    load_native_kernels()
 
     with span(
         "evaluate_block",
@@ -641,7 +619,6 @@ def evaluate_block(
                 demand_power.values,
                 supply_block,
                 **_battery_columns(specs),
-                charge_plane=False,
             )
             evaluations = _finish_battery_rows(context, constrained, projections, run)
 
@@ -689,7 +666,6 @@ def evaluate_block(
                 capacity_mw=np.array(capacities),
                 flexible_ratio=np.array([d.flexible_ratio for d in constrained]),
                 deadline_hours=COMBINED_DEADLINE_HOURS,
-                charge_plane=False,
             )
             evaluations = _finish_combined_rows(context, constrained, projections, run)
 

@@ -259,7 +259,7 @@ class CarbonExplorer:
         arguments (``max_retries``, ``chunk_timeout``, ``checkpoint``,
         ``resume``, ``faults``, ``shm``, ``batch_size``) configure the
         sweep's fault tolerance, checkpoint/resume behaviour, the trace
-        plane, and tensorized (design × hour) chunk evaluation — see
+        plane, and (design × hour) kernel blocks per chunk — see
         :func:`repro.core.optimize` and :mod:`repro.resilience`.
         """
         if space is None:

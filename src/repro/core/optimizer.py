@@ -103,10 +103,9 @@ def optimize(
     * ``batch_size`` widens chunks to at least ``batch_size`` grid points
       (still a pure function of the grid and this argument, never of
       ``workers``).  Every chunk goes through
-      :func:`repro.core.evaluate.evaluate_block`, which tensorizes a
-      chunk's design axis into one ``(design, hour)`` kernel call when
-      the chunk is large enough; every evaluation stays bitwise-identical
-      to the per-design path.
+      :func:`repro.core.evaluate.evaluate_block`, which runs a chunk's
+      design axis as one ``(design, hour)`` kernel block; every
+      evaluation stays bitwise-identical to the per-design path.
 
     Raises
     ------

@@ -90,9 +90,11 @@ def solar_generation(
         innovation_scale = profile.clearness_volatility * math.sqrt(
             1.0 - _CLEARNESS_PERSISTENCE**2
         )
+        # One array draw yields the same numbers as one scalar draw per day.
+        innovations = rng.normal(0.0, innovation_scale, calendar.n_days).tolist()
         level = 0.0
-        for day in range(calendar.n_days):
-            level = _CLEARNESS_PERSISTENCE * level + rng.normal(0.0, innovation_scale)
+        for day, innovation in enumerate(innovations):
+            level = _CLEARNESS_PERSISTENCE * level + innovation
             clearness[day] = profile.mean_clearness + level
         clearness = np.clip(clearness, 0.05, 1.0)
 
@@ -135,11 +137,14 @@ def _wind_generation(
     """The traced body of :func:`wind_generation` (inputs pre-validated)."""
     rho = math.exp(-1.0 / profile.synoptic_hours)
     innovations = rng.normal(0.0, math.sqrt(1.0 - rho**2), calendar.n_hours)
-    latent = np.empty(calendar.n_hours)
     level = rng.normal(0.0, 1.0)
-    for hour in range(calendar.n_hours):
-        level = rho * level + innovations[hour]
-        latent[hour] = level
+    # The AR(1) recurrence on plain floats (numpy scalars are slower and
+    # round identically).
+    walk = []
+    for innovation in innovations.tolist():
+        level = rho * level + innovation
+        walk.append(level)
+    latent = np.array(walk)
 
     day = np.arange(calendar.n_hours) // HOURS_PER_DAY
     # Seasonal modulation peaks mid-winter (day 0) for positive winter_boost.

@@ -18,6 +18,13 @@ Kernel contract:
   per-day scheduler);
 * degenerate paths (no battery, no scheduler) are fully vectorized.
 
+The per-design Python kernels are the oracle.  The block API of
+:mod:`.batch` runs them over a ``(D, H)`` block of designs: through the
+row loops of ``native.c`` once :mod:`repro.native` has compiled and
+loaded them, and by mapping the Python kernels over the rows otherwise.
+``native.c`` is a line-for-line copy of the Python loops, built without
+FMA contraction or fast-math, so both backends give the oracle's bits.
+
 Arrays may be any length — the kernels are year-agnostic, which also makes
 them cheap to property-test against the reference implementations on short
 traces.

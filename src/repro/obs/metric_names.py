@@ -83,6 +83,8 @@ GAUGES: FrozenSet[str] = frozenset(
         "sweep_grid_points",
         "batch_rows_peak",
         "fleet_deadline_remaining_s",
+        # 1 when the compiled kernels of repro.native run, 0 when not
+        "kernel_backend_native",
     }
 )
 

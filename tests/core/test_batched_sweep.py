@@ -7,13 +7,11 @@ checkpoints/resume must produce a ``DesignEvaluation`` sequence *equal*
 (frozen-dataclass ``==``, i.e. bitwise on the float fields) to the
 per-design oracle — ``evaluate_design`` called once per grid point.
 
-The per-strategy batching floors would silently route these small test
-grids down the per-design fallback, so the suite pins
-``REPRO_BATCH_MIN_ROWS=1`` (the env var reaches spawned workers) and then
-asserts via the ``designs_batched`` counter that the batched path really
-ran — without that counter check, every test here would pass vacuously.
-With the floor at 1 even an un-batched sweep's one-row chunks take the
-batched kernels, which is why the oracle bypasses the sweep entirely.
+Every battery, CAS and combined chunk of any size takes the block API,
+so even an un-batched sweep's one-row chunks run the batched kernels,
+which is why the oracle bypasses the sweep entirely.  The
+``designs_batched`` counter checks assert that the batched path really
+ran.
 """
 
 from __future__ import annotations
@@ -55,12 +53,6 @@ def per_design(context, space, strategy) -> OptimizationResult:
         best=min(evaluations, key=lambda e: e.total_tons),
         evaluations=evaluations,
     )
-
-
-@pytest.fixture(autouse=True)
-def force_batching(monkeypatch):
-    """Drop the per-strategy batch floors so tiny test grids batch."""
-    monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
 
 
 @pytest.fixture(scope="module")
@@ -167,14 +159,10 @@ class TestBatterySeedRouting:
         assert fresh_metrics.counter_value("battery_seed_cache_hits") == 0
         assert fresh_metrics.counter_value("battery_seed_cache_misses") == 0
 
-    def test_sub_floor_block_takes_seeds(
-        self, ut_context, fresh_metrics, monkeypatch
-    ):
+    def test_per_design_path_takes_seeds(self, ut_context, fresh_metrics):
         strategy = Strategy.RENEWABLES_BATTERY
-        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000000")
-        optimize(
-            ut_context, self.SPACE, strategy, batch_size=self.SPACE.size(strategy)
-        )
+        for design in self.SPACE.points(strategy):
+            evaluate_design(ut_context, design, strategy)
         assert fresh_metrics.counter_value("designs_batched") == 0
         assert fresh_metrics.counter_value("battery_runs_seeded") > 0
 
@@ -195,8 +183,9 @@ class TestBatchedParallelSweeps:
     def test_spawned_workers_batch_identically(
         self, ut_context, small_space, monkeypatch
     ):
-        """Spawned pools re-import everything; the REPRO_BATCH_MIN_ROWS
-        override and the batched chunk routing must survive the trip."""
+        """Spawned pools re-import everything and load the compiled
+        kernels themselves; the batched chunk routing must survive the
+        trip."""
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
         serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
         spawned = optimize(
@@ -274,16 +263,23 @@ class TestBatchedCheckpointResume:
     ):
         """A checkpoint written by the per-design path restores cleanly
         into a batched sweep (the fingerprint ignores batch_size)."""
+        from repro.core import engine
+
         path = tmp_path / "sweep.ckpt"
-        # A floor above the grid size keeps every chunk per-design.
-        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000")
-        serial = optimize(
-            ut_context,
-            small_space,
-            Strategy.RENEWABLES_BATTERY,
-            checkpoint=path,
-        )
-        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                engine,
+                "evaluate_block",
+                lambda context, designs, strategy: [
+                    evaluate_design(context, design, strategy) for design in designs
+                ],
+            )
+            serial = optimize(
+                ut_context,
+                small_space,
+                Strategy.RENEWABLES_BATTERY,
+                checkpoint=path,
+            )
         resumed = optimize(
             ut_context,
             small_space,
@@ -293,7 +289,9 @@ class TestBatchedCheckpointResume:
             resume=True,
         )
         assert resumed.evaluations == serial.evaluations
-
+        assert resumed.evaluations == per_design(
+            ut_context, small_space, Strategy.RENEWABLES_BATTERY
+        ).evaluations
 
 
 class TestFleetMerge:

@@ -128,24 +128,19 @@ class TestFrontierRefinement:
         assert refined.frontier == pareto_frontier(coarse.evaluations)
         assert refined.total_evaluations == coarse.n_evaluated
 
-    def test_batched_refinement_is_identical(
-        self, context, coarse_space, monkeypatch
-    ):
+    def test_batched_refinement_is_identical(self, context, coarse_space):
         """batch_size forwards to every optimize() call without changing a
-        single evaluation.  Only the batched call drops the batch floor, so
-        the plain run stays on the per-design path."""
+        single evaluation."""
         plain = refine_frontier(
             context, coarse_space, Strategy.RENEWABLES_BATTERY, n_rounds=1
         )
-        with monkeypatch.context() as patch:
-            patch.setenv("REPRO_BATCH_MIN_ROWS", "1")
-            batched = refine_frontier(
-                context,
-                coarse_space,
-                Strategy.RENEWABLES_BATTERY,
-                n_rounds=1,
-                batch_size=4,
-            )
+        batched = refine_frontier(
+            context,
+            coarse_space,
+            Strategy.RENEWABLES_BATTERY,
+            n_rounds=1,
+            batch_size=4,
+        )
         assert plain.frontier == batched.frontier
         assert plain.best == batched.best
         assert plain.total_evaluations == batched.total_evaluations

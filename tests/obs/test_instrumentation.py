@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.design import DesignSpace, Strategy
+from repro.core.evaluate import evaluate_design
 from repro.core.optimizer import optimize
 from repro.obs import (
     enable_metrics,
@@ -44,20 +45,32 @@ class TestPipelineInstrumentation:
         assert counters["battery_sim_hours"] > 0
 
     def test_sweep_produces_expected_span_nesting(self, ut_context, tiny_space):
+        # A battery sweep evaluates its chunks as kernel blocks.
         _run_instrumented_sweep(ut_context, tiny_space)
         (root,) = trace_roots()
         assert root.name == "optimize"
-        evaluate = root.find("evaluate_design")
-        assert evaluate is not None
+        chunk = root.find("evaluate_chunk")
+        assert chunk is not None
+        block = chunk.find("evaluate_block")
+        assert block is not None
+        assert block.attrs["n_designs"] >= 1
+        # The per-design oracle nests its own simulation span.
+        design = next(iter(tiny_space.points(Strategy.RENEWABLES_BATTERY)))
+        evaluate_design(ut_context, design, Strategy.RENEWABLES_BATTERY)
+        evaluate = trace_roots()[-1]
+        assert evaluate.name == "evaluate_design"
         assert evaluate.find("simulate_battery") is not None
         # The whole chain, from the global tracer's root search too.
         assert get_tracer().find("simulate_battery") is not None
 
     def test_span_durations_land_in_histograms(self, ut_context, tiny_space):
         _run_instrumented_sweep(ut_context, tiny_space)
+        design = next(iter(tiny_space.points(Strategy.RENEWABLES_BATTERY)))
+        evaluate_design(ut_context, design, Strategy.RENEWABLES_BATTERY)
         histograms = metrics_snapshot()["histograms"]
         for name in (
             "span.optimize.seconds",
+            "span.evaluate_block.seconds",
             "span.evaluate_design.seconds",
             "span.simulate_battery.seconds",
         ):

@@ -200,6 +200,7 @@ class TestStats:
         assert snap["counters"]["designs_evaluated"] > 0
         assert snap["counters"]["sweeps_completed"] == 4
         assert snap["histograms"]["span.evaluate_design.seconds"]["count"] > 0
+        assert snap["gauges"]["kernel_backend_native"] in (0.0, 1.0)
 
         document = json.loads(trace_path.read_text())
         optimize_spans = [
@@ -221,9 +222,17 @@ class TestStats:
             for span in optimize_spans
             if "battery" in span["attrs"]["strategy"]
         )
-        evaluate = find(battery_sweep, "evaluate_design")
-        assert evaluate is not None
-        assert find(evaluate, "simulate_battery") is not None
+        # Battery chunks run as kernel blocks; renewables-only designs
+        # keep the per-design span.
+        block = find(battery_sweep, "evaluate_block")
+        assert block is not None
+        assert block["attrs"]["n_designs"] >= 1
+        renewables_sweep = next(
+            span
+            for span in optimize_spans
+            if span["attrs"]["strategy"] == "renewables"
+        )
+        assert find(renewables_sweep, "evaluate_design") is not None
 
     def test_stats_prints_summary_tables(self, capsys):
         assert main(["stats", "UT"]) == 0
